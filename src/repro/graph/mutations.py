@@ -70,15 +70,18 @@ def coalesce_ops(ops: Sequence[Dict]) -> List[Dict]:
     Output order is deterministic: edge-targeted ops in first-seen edge
     order, then adds in arrival order.
     """
-    by_edge: Dict[int, Dict] = {}
-    order: List[int] = []
+    by_edge: Dict[object, Dict] = {}
+    order: List[object] = []
     adds: List[Dict] = []
     for op in ops:
         kind = op.get("kind")
         if kind == "add":
             adds.append(op)
             continue
-        edge = int(op.get("edge", -1))
+        try:
+            edge = int(op.get("edge", -1))
+        except (TypeError, ValueError, OverflowError):
+            edge = object()  # a bad id never coalesces; apply rejects it
         prev = by_edge.get(edge)
         if prev is not None and prev.get("kind") == "remove":
             continue  # terminal: the edge is gone for the rest of the batch
@@ -246,7 +249,7 @@ def apply_ops(graph: WeightedGraph, ops: Sequence[Dict]
         """Validate an edge-targeted op's id against current state."""
         try:
             edge = int(op["edge"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             reject(i, "missing or non-integer edge id")
             return None
         if not 0 <= edge < graph.m:
@@ -263,7 +266,7 @@ def apply_ops(graph: WeightedGraph, ops: Sequence[Dict]
             try:
                 a, b = int(op["u"]), int(op["v"])
                 w = float(op["weight"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 reject(i, "add needs integer u, v and numeric weight")
                 continue
             if not (0 <= a < st.n and 0 <= b < st.n):
@@ -310,7 +313,7 @@ def apply_ops(graph: WeightedGraph, ops: Sequence[Dict]
                 continue
             try:
                 x = float(op["weight"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 reject(i, "reprice needs a numeric weight")
                 continue
             if not np.isfinite(x):

@@ -304,6 +304,32 @@ class RootedTree:
             self.path_max_to_ancestor(a, l), self.path_max_to_ancestor(b, l)
         )
 
+    def path_min_key(self, a: np.ndarray, b: np.ndarray,
+                     key: np.ndarray) -> np.ndarray:
+        """Per vertex ``v``, the least ``key[i]`` over the paths
+        ``a[i]``–``b[i]`` using edge ``(v, parent(v))``; int64 max where
+        none does. Each path is cut at its LCA into power-of-two jumps
+        whose keys land in slot ``k`` of the lifting table; slot ``k`` at
+        ``x`` then feeds slot ``k-1`` at ``x`` and at ``up[k-1][x]``.
+        """
+        up, _ = self._lifting()
+        depth = self.depths()
+        none = np.iinfo(np.int64).max
+        slot = np.full(up.shape, none, dtype=np.int64)
+        top = self.lca(a, b)
+        x = np.concatenate((a, b)).astype(np.int64)
+        diff = depth[x] - depth[np.concatenate((top, top))]
+        key = np.concatenate((key, key))
+        for k in range(up.shape[0]):
+            sel = np.flatnonzero((diff >> k) & 1)
+            np.minimum.at(slot[k], x[sel], key[sel])
+            x[sel] = up[k][x[sel]]
+        for k in range(up.shape[0] - 1, 0, -1):
+            live = np.flatnonzero(slot[k] != none)
+            np.minimum(slot[k - 1], slot[k], out=slot[k - 1])
+            np.minimum.at(slot[k - 1], up[k - 1][live], slot[k][live])
+        return slot[0]
+
     # -- conversions ----------------------------------------------------------------------
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

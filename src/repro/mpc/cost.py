@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["CostModel", "CostTracker", "CostReport", "CostDelta", "PRIMITIVES"]
 
@@ -330,9 +330,6 @@ class CostTracker:
     def peak_global_words(self) -> int:
         return self._peak_global
 
-    def snapshot_rounds(self) -> int:
-        return self._rounds_total
-
     def report(self) -> CostReport:
         return CostReport(
             rounds_total=self._rounds_total,
@@ -342,6 +339,3 @@ class CostTracker:
             peak_machine_words=self._peak_machine,
             transport_rounds=self._transport_rounds,
         )
-
-    def iter_phases(self) -> Iterator[Tuple[str, int]]:
-        return iter(sorted(self._rounds_by_phase.items()))

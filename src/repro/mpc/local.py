@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Tuple
 import numpy as np
 
 from ..errors import ProtocolError, ValidationError
-from .kernels import forward_fill, op_identity, segment_starts, segmented_scan
+from .kernels import op_identity, segment_starts, segmented_scan
 from .runtime import Runtime, pack_columns, pack_pair
 from .table import Table
 
@@ -219,46 +219,38 @@ class LocalRuntime(Runtime):
                        payload, default, jp, *, exact) -> Table:
         """Planned-path result assembly from a resolved ``JoinPlan``.
 
-        Values are bit-identical to the eager loops above; only the
-        assembly differs: the hit gather indices are computed once per
-        join (not once per payload column) and fully-hit joins gather
-        straight into the fill dtype, skipping the fill pass the eager
-        path would fully overwrite anyway.
+        Values and dtypes are bit-identical to the eager loops above.
+        One row index per join, with ``order`` folded in, maps queries
+        into the unsorted data, so each payload column is one gather:
+        ``src[idx]`` when every query hits (cast to the fill dtype for
+        predecessor, which eager always fills first), else
+        ``padded[idx]`` with the default at row 0 of the fill-dtype
+        column and ``idx`` 0 on misses — no fill and no mask scatter.
         """
-        nq = len(qk)
         order, pos, hit = jp.order, jp.pos, jp.hit
         all_hit = bool(hit.all())
         if exact and default is None and not all_hit:
             missing = qk[~hit][:3].tolist()
             raise ProtocolError(f"lookup misses with no default (keys {missing})")
-        pos_hit = None if all_hit else pos[hit]
+        if all_hit:
+            idx = pos if order is None else order[pos]
+        else:
+            idx = pos + 1
+            idx *= hit  # misses read row 0; much cheaper than np.where
+            if order is not None:
+                idx = np.concatenate(([0], order + 1))[idx]
         out_cols = {}
         for out_name, src_name in payload.items():
             src = data.col(src_name)
-            if order is not None:
-                src = src[order]
-            if not len(src):
-                if exact and all_hit:
-                    out_cols[out_name] = np.empty(0, src.dtype)
-                else:
-                    out_cols[out_name] = _default_fill(nq, src,
-                                                       default[out_name])
-                continue
-            if all_hit:
-                if exact:
-                    # eager's fully-hit lookup keeps the source dtype
-                    out_cols[out_name] = src[pos]
-                else:
-                    # eager's predecessor always fills first: the fill
-                    # dtype wins even when fully overwritten
-                    fill_dtype = _default_fill(0, src,
-                                               default[out_name]).dtype
-                    out_cols[out_name] = src[pos].astype(fill_dtype,
-                                                         copy=False)
-                continue
-            col = _default_fill(nq, src, default[out_name])
-            col[hit] = src[pos_hit].astype(col.dtype, copy=False)
-            out_cols[out_name] = col
+            if all_hit and exact:
+                out_cols[out_name] = src[idx]
+            elif all_hit:
+                fill_dtype = _default_fill(0, src, default[out_name]).dtype
+                out_cols[out_name] = src[idx].astype(fill_dtype, copy=False)
+            else:
+                head = _default_fill(1, src, default[out_name])
+                padded = np.concatenate((head, src), dtype=head.dtype)
+                out_cols[out_name] = padded[idx]
         return queries.with_cols(**out_cols)
 
     def _exec_reduce(self, table: Table, key: np.ndarray, by, aggs,
@@ -296,9 +288,3 @@ class LocalRuntime(Runtime):
         else:
             total = vals.min()
         return total.item()
-
-    # -- internal (engine-private, used by tests) ----------------------------------
-
-    @staticmethod
-    def _forward_fill(values: np.ndarray, valid: np.ndarray):
-        return forward_fill(values, valid)

@@ -126,15 +126,6 @@ class FactRegistry:
             )
         return facts.sorted
 
-    def ensure_unique_sorted(self, arr: np.ndarray) -> bool:
-        """Is the (sorted) ``arr`` duplicate-free? Memoised."""
-        facts = self.get(arr)
-        if facts.unique is None:
-            facts.unique = not (
-                len(arr) > 1 and bool(np.any(arr[1:] == arr[:-1]))
-            )
-        return facts.unique
-
 
 # ---------------------------------------------------------------------------
 # plan nodes and the logical log

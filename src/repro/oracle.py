@@ -20,7 +20,8 @@ plus the input graph; thresholds are taken verbatim from the pipeline
 (``mc``/``pathmax`` are exact copies of input weights, so tie queries
 compare exactly). Replacement-edge identities, which the round-efficient
 pipeline deliberately does not materialise, are recovered at build time
-by one near-linear Tarjan-style covering ascent and cross-checked
+by a binary-lifting path minimum over the non-tree edges' weight ranks
+(ties go to the earlier ``nontree_index`` position) and cross-checked
 against the pipeline's ``mc`` values.
 
 Oracles pickle/save to a single ``.npz`` and rehydrate anywhere — batch
@@ -42,44 +43,27 @@ from .serialize import load_npz, save_npz
 __all__ = ["SensitivityOracle", "build_oracle"]
 
 
-def _covering_ascent(tree: RootedTree, nu, nv, nw, nt_index):
-    """Min-cover weight and covering-edge id per vertex (Tarjan ascent).
+def _min_covers(tree: RootedTree, nu, nv, nw, nt_index):
+    """Min-cover weight and covering-edge id per vertex.
 
-    Processes non-tree edges by ascending weight and walks both
-    endpoints to the LCA through a "next uncovered ancestor" DSU; the
-    first cover to reach a tree edge is its cheapest one. Returns
-    ``(mc, cover)`` where ``cover[v]`` is the *input* edge index covering
-    the edge ``(v, parent(v))`` at weight ``mc[v]`` (or -1 / inf).
+    Ranks the non-tree edges by ascending weight (stable, so ties keep
+    their ``nontree_index`` order) and takes, per tree edge, the least
+    rank over the non-tree edges whose cycle covers it
+    (:meth:`~repro.graph.tree.RootedTree.path_min_key`): the first
+    cover in that order wins. Returns ``(mc, cover)`` where ``cover[v]``
+    is the *input* edge index covering the edge ``(v, parent(v))`` at
+    weight ``mc[v]`` (or -1 / inf).
     """
-    n = tree.n
-    depth = tree.depths()
-    parent = tree.parent
-    lca = tree.lca(nu, nv) if len(nu) else np.empty(0, dtype=np.int64)
-
-    mc = np.full(n, np.inf, dtype=np.float64)
-    cover = np.full(n, -1, dtype=np.int64)
-    jump = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        r = x
-        while jump[r] != r:
-            r = jump[r]
-        while jump[x] != r:
-            jump[x], x = r, jump[x]
-        return r
-
     order = np.argsort(nw, kind="stable")
-    for i in order:
-        w = float(nw[i])
-        eid = int(nt_index[i])
-        top = int(lca[i])
-        for end in (int(nu[i]), int(nv[i])):
-            x = find(end)
-            while depth[x] > depth[top]:
-                mc[x] = w            # first (smallest) cover wins
-                cover[x] = eid
-                jump[x] = find(int(parent[x]))
-                x = find(x)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    best = tree.path_min_key(nu, nv, rank)
+    covered = np.flatnonzero(best < len(order))
+    first = order[best[covered]]
+    mc = np.full(tree.n, np.inf, dtype=np.float64)
+    cover = np.full(tree.n, -1, dtype=np.int64)
+    mc[covered] = nw[first]
+    cover[covered] = nt_index[first]
     return mc, cover
 
 
@@ -122,7 +106,7 @@ class SensitivityOracle:
         ``result`` may come straight from
         :func:`~repro.core.sensitivity.mst_sensitivity` or be rehydrated
         with :meth:`~repro.core.results.SensitivityResult.load`. With
-        ``validate=True`` the build-time covering ascent is cross-checked
+        ``validate=True`` the build-time cover recovery is cross-checked
         against the pipeline's ``mc`` array (a free differential test).
         """
         if result.parent is not None and len(result.parent) == graph.n:
@@ -146,10 +130,10 @@ class SensitivityOracle:
 
         nu, nv, nw = (graph.u[nontree_index], graph.v[nontree_index],
                       graph.w[nontree_index])
-        mc, cover = _covering_ascent(tree, nu, nv, nw, nontree_index)
+        mc, cover = _min_covers(tree, nu, nv, nw, nontree_index)
         if validate and not np.array_equal(mc, result.mc):
             raise ValidationError(
-                "covering ascent disagrees with the pipeline's mc array; "
+                "cover recovery disagrees with the pipeline's mc array; "
                 "result does not belong to this graph"
             )
 

@@ -582,12 +582,9 @@ class RouterTier:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         pollers = [w.poller for w in self.workers.values()
                    if w.poller is not None]
-        for t in pollers:
-            t.cancel()
-        if pollers:
-            await asyncio.gather(*pollers, return_exceptions=True)
         for w in self.workers.values():
-            w.poller = None
+            self._stop_poller(w)
+        await asyncio.gather(*pollers, return_exceptions=True)
         loop = asyncio.get_running_loop()
         for w in self.workers.values():
             try:
@@ -1054,7 +1051,7 @@ class RouterTier:
     # -- backpressure ----------------------------------------------------------
 
     def _start_poller(self, w: _Worker) -> None:
-        if w.poller is not None and not w.poller.done():
+        if self._stopped or (w.poller is not None and not w.poller.done()):
             return
         w.poller = asyncio.get_running_loop().create_task(
             self._poll_depth(w))
@@ -1072,24 +1069,23 @@ class RouterTier:
         telemetry link itself is down the loop ends; the supervisor
         restarts it after healing or respawning the worker.
         """
-        try:
-            while True:
-                try:
-                    resp = await w.telemetry.request(
-                        {"op": "depth"}, timeout_s=5.0)
-                    if resp.get("ok"):
-                        w.depth = resp["result"]
-                        self.metrics.depth_polls += 1
-                except (ServiceError, asyncio.TimeoutError):
-                    self.metrics.worker_errors += 1
-                    w.depth = {}
-                    if w.telemetry._dead:
-                        return
-                    await asyncio.sleep(
-                        max(0.2, self.config.depth_poll_s * 5))
-                await asyncio.sleep(self.config.depth_poll_s)
-        except asyncio.CancelledError:
-            raise
+        # the stop flag also ends the loop: on Python 3.11 ``wait_for``
+        # can swallow a cancel that lands in the reply's loop turn
+        while not self._stopped:
+            try:
+                resp = await w.telemetry.request(
+                    {"op": "depth"}, timeout_s=5.0)
+                if resp.get("ok"):
+                    w.depth = resp["result"]
+                    self.metrics.depth_polls += 1
+            except (ServiceError, asyncio.TimeoutError):
+                self.metrics.worker_errors += 1
+                w.depth = {}
+                if w.telemetry._dead:
+                    return
+                await asyncio.sleep(
+                    max(0.2, self.config.depth_poll_s * 5))
+            await asyncio.sleep(self.config.depth_poll_s)
 
     # -- dispatch --------------------------------------------------------------
 
@@ -1389,7 +1385,8 @@ class RouterTier:
         connection's FIFO contract.
         """
         iids = np.frombuffer(payload, dtype=wire.POINT_DTYPE)["iid"]
-        cuts = [0, *(np.flatnonzero(np.diff(iids)) + 1), len(iids)]
+        # plain ints: the counts feed json-serialised RouterMetrics
+        cuts = [0, *(np.flatnonzero(np.diff(iids)) + 1).tolist(), len(iids)]
         loop = asyncio.get_running_loop()
         parts = [
             loop.create_task(self._relay_segment(

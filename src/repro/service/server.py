@@ -57,6 +57,16 @@ from .updates import BatchReport, InstanceUpdater, UpdateReport
 __all__ = ["ServiceConfig", "SensitivityService", "ServiceClient"]
 
 
+def _edge_id(edge) -> int:
+    """A request's edge index as an ``int``, or a ValidationError (JSON
+    ``1e400`` is ``inf``, which ``int`` refuses with OverflowError)."""
+    try:
+        return int(edge)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"edge index must be an integer, got {edge!r}") from None
+
+
 @dataclass
 class ServiceConfig:
     """Deployment knobs for one service process."""
@@ -229,8 +239,8 @@ class SensitivityService:
         if op not in QUERY_OPS:
             raise ValidationError(f"unknown query op {op!r}")
         inst = self._instance(instance)
-        shard_i = route(inst.specs, int(edge))
-        return inst.batchers[shard_i].submit(op, edge, weight)
+        edge = _edge_id(edge)
+        return inst.batchers[route(inst.specs, edge)].submit(op, edge, weight)
 
     async def query(self, op: str, edge: int,
                     weight: Optional[float] = None,
@@ -240,8 +250,9 @@ class SensitivityService:
             return {"ok": False, "error": f"unknown query op {op!r}"}
         try:
             inst = self._instance(instance)
-            shard_i = route(inst.specs, int(edge))
-        except (ValidationError, TypeError, ValueError) as exc:
+            edge = _edge_id(edge)
+            shard_i = route(inst.specs, edge)
+        except ValidationError as exc:
             return {"ok": False, "error": str(exc)}
         try:
             fut = inst.batchers[shard_i].submit(op, edge, weight)
@@ -267,14 +278,17 @@ class SensitivityService:
         """
         try:
             inst = self._instance(instance)
-            edge = int(edge)
+            edge = _edge_id(edge)
             weight = float(weight)
             if not 0 <= edge < inst.updater.graph.m:
                 raise ValidationError(
                     f"edge index {edge} out of range "
                     f"[0, {inst.updater.graph.m})"
                 )
-        except (ValidationError, TypeError, ValueError) as exc:
+            if not np.isfinite(weight):
+                raise ValidationError("edge weights must be finite")
+        except (ValidationError, TypeError, ValueError,
+                OverflowError) as exc:
             return {"ok": False, "error": str(exc)}
         async with inst.lock:
             try:

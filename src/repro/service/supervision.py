@@ -214,7 +214,9 @@ class Supervisor:
     async def _watch(self) -> None:
         """Sentinel + heartbeat loop over every in-rotation worker."""
         cfg = self.router.config
-        while True:
+        # the stop flag also ends the loop: a ping's ``wait_for`` can
+        # swallow the cancel (Python 3.11), like the router's pollers
+        while not self.router._stopped:
             await asyncio.sleep(cfg.heartbeat_s)
             for w in list(self.router.workers.values()):
                 if not w.up or self.router._stopped:

@@ -320,7 +320,7 @@ class InstanceUpdater:
         whatever the narrowed fingerprint scopes still cache. Either
         way the resulting oracle is rebuilt through
         :meth:`SensitivityOracle.from_result`, whose validation
-        cross-checks it against an independent covering ascent — a
+        cross-checks it against an independent cover recovery — a
         splice bug fails loudly instead of shipping.
         """
         t0 = time.perf_counter()

@@ -14,6 +14,7 @@ from repro.core.results import SensitivityResult
 from repro.core.sensitivity import mst_sensitivity
 from repro.errors import ValidationError
 from repro.graph.generators import known_mst_instance
+from repro.graph.graph import WeightedGraph
 from repro.graph.tree import RootedTree
 from repro.oracle import SensitivityOracle, build_oracle
 
@@ -254,3 +255,95 @@ def test_reprice_thaws_readonly_arrays(tmp_path):
     assert mapped.w.flags.writeable
     # thresholds stay mapped (only w/sens thawed)
     assert not mapped.threshold.flags.writeable
+
+
+# -- cover_edge tie rule against a brute-force reference ----------------------
+
+
+def _tie_instance(rng, n, shape, extra):
+    """A flagged MST with small integer weights (ties everywhere).
+
+    Non-tree edges weigh their tree-path maximum or one more, so the
+    tree stays minimal; labels and edge order are shuffled so neither
+    the root nor the input order lines up with the tree.
+    """
+    if shape == "star":
+        par = [0] * n
+    elif shape == "backbone":  # a deep path with a few hairs
+        spine = max(1, (3 * n) // 4)
+        par = [0] + list(range(spine - 1)) + \
+            [int(rng.integers(0, spine)) for _ in range(n - spine)]
+    else:
+        par = [0] + [int(rng.integers(0, i)) for i in range(1, n)]
+    pw = [0] + [int(rng.integers(1, 4)) for _ in range(1, n)]
+
+    def path_edges(a, b):  # child endpoints of the tree path a..b
+        up_a, x = [], a
+        while x != 0:
+            up_a.append(x)
+            x = par[x]
+        seen = set(up_a + [0])
+        up_b, y = [], b
+        while y not in seen:
+            up_b.append(y)
+            y = par[y]
+        return up_a[:up_a.index(y)] if y != 0 else up_a, up_b
+
+    edges = [(i, par[i], float(pw[i])) for i in range(1, n)]
+    for _ in range(extra if n > 1 else 0):
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        ea, eb = path_edges(a, b)
+        top = max(pw[c] for c in ea + eb)
+        edges.append((a, b, float(top + int(rng.integers(0, 2)))))
+    label = rng.permutation(n)
+    order = rng.permutation(len(edges))
+    u = np.array([label[edges[i][0]] for i in order], dtype=np.int64)
+    v = np.array([label[edges[i][1]] for i in order], dtype=np.int64)
+    w = np.array([edges[i][2] for i in order], dtype=np.float64)
+    tree = np.array([i < n - 1 for i in order], dtype=bool)
+    return WeightedGraph(n=n, u=u, v=v, w=w, tree_mask=tree)
+
+
+def _reference_cover(g, parent, nontree_index):
+    """Per tree edge: the covering non-tree edge of least (weight,
+    position in ``nontree_index``), by walking parent pointers."""
+    par = [int(p) for p in parent]
+
+    def ancestors(x):
+        out = [x]
+        while par[x] != x:
+            x = par[x]
+            out.append(x)
+        return out
+
+    ref = np.full(g.m, -1, dtype=np.int64)
+    for e in np.flatnonzero(g.tree_mask):
+        a, b = int(g.u[e]), int(g.v[e])
+        child = a if par[a] == b else b
+        best = None
+        for pos, f in enumerate(nontree_index):
+            inside = [child in ancestors(int(x)) for x in (g.u[f], g.v[f])]
+            if inside[0] != inside[1]:
+                cand = (float(g.w[f]), pos, int(f))
+                best = cand if best is None or cand < best else best
+        if best is not None:
+            ref[e] = best[2]
+    return ref
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_cover_edge_tie_rule_matches_brute_force(seed):
+    rng = np.random.default_rng(900 + seed)
+    shape = ("random", "backbone", "star")[seed % 3]
+    n = int(rng.integers(2, 34))
+    # 0 extra: all bridges; few: mostly bridges; many: dense ties
+    extra = (0, int(rng.integers(1, 4)), int(rng.integers(n, 3 * n)))[
+        (seed // 3) % 3]
+    g = _tie_instance(rng, n, shape, extra)
+    r = mst_sensitivity(g)
+    oracle = SensitivityOracle.from_result(g, r)
+    ref = _reference_cover(g, r.parent, r.nontree_index)
+    np.testing.assert_array_equal(oracle.cover_edge, ref)
+    mask = np.zeros(g.m, dtype=bool)
+    mask[ref[ref >= 0]] = True
+    np.testing.assert_array_equal(oracle.covering_edges(), mask)

@@ -38,6 +38,7 @@ def assert_tables_bitwise(a: Table, b: Table):
     for c in a.columns:
         assert a.col(c).dtype == b.col(c).dtype, c
         np.testing.assert_array_equal(a.col(c), b.col(c), err_msg=c)
+        assert a.col(c).tobytes() == b.col(c).tobytes(), c
 
 
 # -- golden plan-shape fixtures ------------------------------------------------
@@ -275,6 +276,50 @@ class TestRandomizedPrimitiveEquivalence:
         ep = ref.predecessor(q, "k", data, "k", {"f": "f"}, {"f": float("-inf")})
         assert_tables_bitwise(pp, ep)
         assert rt.rounds == ref.rounds
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_join_sweep_fill_dtypes(self, seed):
+        """Partial-hit joins whose int payloads widen to the fill dtype
+        (float, ±inf and non-integral defaults), multi-column and
+        all-hit predecessors, and empty data — over both the
+        direct-address and the binary-search join kernels."""
+        rng = np.random.default_rng(500 + seed)
+        space = 3000 if seed % 2 == 0 else 10**12
+        nd = 0 if seed == 3 else int(rng.integers(1, 90))
+        nq = int(rng.integers(0, 140))
+        dk = rng.choice(space, size=nd, replace=False).astype(np.int64)
+        if seed % 4 == 0:
+            dk = np.sort(dk)
+        data = Table(k=dk, f=rng.standard_normal(nd),
+                     i=rng.integers(-5, 9, size=nd),
+                     s=rng.integers(0, 9, size=nd).astype(np.int32))
+        hits = dk[rng.integers(0, nd, size=nq)] if nd else \
+            np.zeros(nq, dtype=np.int64)
+        miss = rng.integers(0, space, size=nq)
+        q = Table(k=np.where(rng.random(nq) < 0.6, hits, miss))
+        payload = {"f": "f", "i": "i", "s": "s"}
+        for dflt in (2.0, -1.5, float("inf"), float("-inf"), -1):
+            rt, ref = planned_rt(), eager_rt()
+            default = {"f": -2.5, "i": dflt, "s": dflt}
+            assert_tables_bitwise(
+                rt.lookup(q, ("k",), data, ("k",), payload, default=default),
+                ref.lookup(q, ("k",), data, ("k",), payload, default=default))
+            assert_tables_bitwise(
+                rt.predecessor(q, "k", data, "k", payload, default),
+                ref.predecessor(q, "k", data, "k", payload, default))
+            assert rt.rounds == ref.rounds
+        if nd:  # every query at or past the smallest key: all-hit
+            rt, ref = planned_rt(), eager_rt()
+            qa = Table(k=int(dk.min()) + rng.integers(0, space, size=nq))
+            default = {"f": float("-inf"), "i": -1, "s": 0.5}
+            assert_tables_bitwise(
+                rt.predecessor(qa, "k", data, "k", payload, default),
+                ref.predecessor(qa, "k", data, "k", payload, default))
+            # an all-hit lookup keeps the source dtype
+            qh = Table(k=hits)
+            assert_tables_bitwise(
+                rt.lookup(qh, ("k",), data, ("k",), payload),
+                ref.lookup(qh, ("k",), data, ("k",), payload))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sort_reduce_scan_sweep(self, seed):

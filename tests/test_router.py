@@ -33,6 +33,8 @@ from repro.service import (
 )
 from repro.service.loadgen import make_plan, run_tcp
 from repro.service.metrics import LatencyReservoir
+from repro.service import wire
+from repro.service.router import _Worker
 
 
 def run(coro):
@@ -280,6 +282,109 @@ class TestRouterTier:
                 assert stats.answered + stats.type_errors >= 300 - stats.shed
             finally:
                 await rt.stop()
+
+        run(scenario())
+
+
+class TestRouterMetricsAfterBinaryRelay:
+    def test_metrics_op_over_tcp_answers_after_binary_relay(self):
+        """A binary run interleaving two instances is relayed as one
+        segment per instance; the segment counts must stay plain ints,
+        or the metrics op over TCP closes the connection."""
+        async def scenario():
+            g = make_graph(n=60)
+            rt = RouterTier(RouterConfig(workers=1, replication=1, port=0,
+                                         batch_window_s=0.001))
+            await rt.start(serve_tcp=True)
+            try:
+                await rt.add_instance("a", g)
+                await rt.add_instance("b", g)
+                host, port = rt.tcp_address
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(wire.encode_escape({"op": "hello"}))
+                head = await reader.readexactly(wire.HEADER_LEN)
+                hello = wire.decode_escape(head + await reader.readexactly(
+                    wire.frame_length(head) - wire.HEADER_LEN))
+                ids = hello["result"]["symbols"]
+                k = 12
+                iids = np.array([ids["a"], ids["b"]] * (k // 2))
+                writer.write(wire.encode_point_requests(
+                    np.full(k, wire.OP_CODE["sensitivity"]), iids,
+                    np.arange(k) % g.m))
+                resp = np.frombuffer(
+                    await reader.readexactly(k * wire.POINT_LEN),
+                    dtype=wire.RESP_DTYPE)
+                assert (resp["type"] == wire.RESP_BASE | wire.ST_OK).all()
+                writer.close()
+                cj = await ServiceClient.connect(host, port)
+                m = await asyncio.wait_for(cj.call("metrics"), 10.0)
+                assert m["ok"], m
+                assert m["result"]["router"]["forwarded"] == k
+                await cj.close()
+            finally:
+                await rt.stop()
+
+        run(scenario())
+
+
+class TestRouterStop:
+    @pytest.mark.parametrize("loop", ["depth_poller", "heartbeat"])
+    def test_stop_returns_when_a_telemetry_wait_swallows_its_cancel(
+            self, loop):
+        """A telemetry request that swallows one cancel (``wait_for`` on
+        Python 3.11 can, when the reply lands in the same loop turn)
+        must not keep ``stop()`` waiting forever on the depth poller or
+        the supervisor's heartbeat loop."""
+        class SwallowOnce:  # telemetry link parked inside a request
+            _dead = False
+
+            def __init__(self):
+                self.swallowed = 0
+
+            async def request(self, req, timeout_s=None):
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    if self.swallowed:
+                        raise
+                    self.swallowed += 1  # the reply wins over the cancel
+                return {"ok": True, "result": {}}
+
+            async def close(self):
+                pass
+
+        class Control:
+            _dead = False
+
+            async def request(self, req, timeout_s=None):
+                return {"ok": True}
+
+            async def close(self):
+                pass
+
+        class Proc:
+            alive = True
+
+            def join(self, timeout=None):
+                self.alive = False
+
+            def is_alive(self):
+                return self.alive
+
+        async def scenario():
+            rt = RouterTier(RouterConfig(workers=1, depth_poll_s=0.01,
+                                         heartbeat_s=0.01))
+            tele = SwallowOnce()
+            w = _Worker(worker_id=0, proc=Proc(), port=0, links=[],
+                        control=Control(), telemetry=tele)
+            rt.workers[0] = w
+            if loop == "depth_poller":
+                rt._start_poller(w)
+            else:
+                rt.supervisor.start()
+            await asyncio.sleep(0.1)  # the loop is inside request()
+            await asyncio.wait_for(rt.stop(), 5.0)
+            assert tele.swallowed == 1
 
         run(scenario())
 

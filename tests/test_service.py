@@ -505,6 +505,75 @@ class TestTcpFrontDoor:
         assert bye == {"ok": True, "result": "bye"}
 
 
+class TestRequestBoundaryValidation:
+    def test_update_rejects_non_finite_weights(self):
+        """``update`` refuses ±inf and NaN like ``update_batch`` does,
+        before classification: nothing is patched or rebuilt."""
+        g = make_graph(n=80, seed=31)
+        tree = int(np.flatnonzero(g.tree_mask)[0])
+        nontree = int(np.flatnonzero(~g.tree_mask)[0])
+
+        async def scenario():
+            svc = await started_service(g)
+            upd = svc.instances["default"].updater
+            before = upd.graph.w.copy()
+            out = []
+            for edge in (tree, nontree):
+                for w in (float("-inf"), float("inf"), float("nan")):
+                    out.append(await svc.handle_request(
+                        {"op": "update", "edge": edge, "weight": w}))
+            after, gen = upd.graph.w.copy(), upd.generation
+            await svc.stop()
+            return out, before, after, gen
+
+        out, before, after, gen = run(scenario())
+        for resp in out:
+            assert resp == {"ok": False,
+                            "error": "edge weights must be finite"}
+        np.testing.assert_array_equal(after, before)
+        assert gen == 0
+
+    def test_overflowing_edge_index_is_a_validation_error(self):
+        """JSON ``1e400`` parses to ``inf``; the query, update and batch
+        paths answer with a validation error, not a leaked
+        ``OverflowError``."""
+        g = make_graph(n=80, seed=37)
+
+        async def scenario():
+            svc = SensitivityService(ServiceConfig(
+                shards=2, batch_window_s=0.001, port=0))
+            svc.add_instance("default", g)
+            await svc.start(serve_tcp=True)
+            host, port = svc.tcp_address
+            reader, writer = await asyncio.open_connection(host, port)
+            lines = [
+                b'{"op":"sensitivity","edge":1e400}',
+                b'{"op":"survives","edge":-1e400,"weight":1.0}',
+                b'{"op":"update","edge":1e400,"weight":1.0}',
+                b'{"op":"update_batch","ops":[{"kind":"reprice",'
+                b'"edge":1e400,"weight":1.0}]}',
+                b'{"op":"update_batch","ops":[{"kind":"remove",'
+                b'"edge":"x"}]}',
+            ]
+            out = []
+            for line in lines:
+                writer.write(line + b"\n")
+                await writer.drain()
+                out.append(json.loads(await reader.readline()))
+            writer.close()
+            await svc.stop()
+            return out
+
+        q, s, u, b, b2 = run(scenario())
+        for resp in (q, s, u):
+            assert not resp["ok"]
+            assert resp["error"].startswith("edge index must be an integer")
+        for resp in (b, b2):
+            assert not resp["ok"] and "error" not in resp
+            assert resp["rejected_ops"] == [
+                [0, "missing or non-integer edge id"]]
+
+
 class TestMmapSharing:
     def test_mmap_shards_answer_identically(self, tmp_path):
         g = make_graph(n=160, seed=31)
