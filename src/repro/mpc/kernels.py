@@ -7,8 +7,6 @@ one implementation guarantees the engines agree bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..errors import ProtocolError
@@ -16,7 +14,6 @@ from ..errors import ProtocolError
 __all__ = [
     "segment_starts",
     "segmented_scan",
-    "forward_fill",
     "op_identity",
     "op_combine",
 ]
@@ -101,22 +98,3 @@ def segmented_scan(
     out[1:] = inc[:-1]
     out[starts] = ident
     return out
-
-
-def forward_fill(
-    values: np.ndarray, valid: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Replace each entry by the latest preceding valid entry.
-
-    Returns ``(filled_values, filled_valid)``; positions before the first
-    valid entry keep their original value with ``filled_valid`` False.
-    """
-    n = len(values)
-    if n == 0:
-        return values.copy(), valid.copy()
-    idx = np.where(valid, np.arange(n), -1)
-    idx = np.maximum.accumulate(idx)
-    ok = idx >= 0
-    out = values.copy()
-    out[ok] = values[np.maximum(idx[ok], 0)]
-    return out, ok

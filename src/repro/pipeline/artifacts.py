@@ -145,6 +145,18 @@ class Artifact:
     """Base class: typed payload + the stage's recorded cost delta."""
 
     kind: ClassVar[str] = ""
+    #: Row axis of a per-edge artifact (``None`` for every other one):
+    #: ``"nontree"`` holds one row per non-tree edge, in edge order;
+    #: ``"half"`` holds one row per half-edge, where the ``eid`` row
+    #: field names each row's non-tree edge (artifacts without ``eid``
+    #: align positionally with the adgraph's rows). A row depends only
+    #: on its own edge and the stage's non-row-wise deps, which is what
+    #: lets :class:`~repro.pipeline.pipeline.Pipeline` splice a prior
+    #: run's rows instead of recomputing them.
+    row_axis: ClassVar[Optional[str]] = None
+    #: the fields that carry rows; every other field is a function of
+    #: the non-row-wise deps alone
+    row_fields: ClassVar[Tuple[str, ...]] = ()
     #: set by the pipeline right after the stage executes
     cost: Optional[CostDelta] = None
 
@@ -335,6 +347,8 @@ class LcaArtifact(Artifact):
     """Theorem 2.15 all-edges LCA answers (per non-tree edge)."""
 
     kind: ClassVar[str] = "lca"
+    row_axis: ClassVar[str] = "nontree"
+    row_fields: ClassVar[Tuple[str, ...]] = ("lca",)
     lca: np.ndarray = None
 
     def payload(self):
@@ -351,6 +365,8 @@ class AdgraphArtifact(Artifact):
     """Corollary 2.19 ancestor–descendant half-edges."""
 
     kind: ClassVar[str] = "adgraph"
+    row_axis: ClassVar[str] = "half"
+    row_fields: ClassVar[Tuple[str, ...]] = ("eid", "lo", "hi", "w")
     eid: np.ndarray = None
     lo: np.ndarray = None
     hi: np.ndarray = None
@@ -374,6 +390,9 @@ class LabelsArtifact(Artifact):
     """Lemma 3.5 weight-labelling replay outputs (``(θ, ω)`` state)."""
 
     kind: ClassVar[str] = "labels"
+    row_axis: ClassVar[str] = "half"
+    row_fields: ClassVar[Tuple[str, ...]] = (
+        "omega_lo", "omega_hi", "cl_lo", "cl_hi", "internal")
     omega_lo: np.ndarray = None
     omega_hi: np.ndarray = None
     cl_lo: np.ndarray = None
@@ -422,6 +441,8 @@ class PathmaxArtifact(Artifact):
     """Observation 3.3 per-half-edge tree-path maxima."""
 
     kind: ClassVar[str] = "pathmax"
+    row_axis: ClassVar[str] = "half"
+    row_fields: ClassVar[Tuple[str, ...]] = ("pm_half",)
     pm_half: np.ndarray = None
 
     def payload(self):
@@ -438,18 +459,21 @@ class DecideArtifact(Artifact):
     """Per-non-tree-edge path maxima and the cycle-rule verdict."""
 
     kind: ClassVar[str] = "decide"
+    row_axis: ClassVar[str] = "nontree"
+    row_fields: ClassVar[Tuple[str, ...]] = ("pathmax", "bad")
     pathmax: np.ndarray = None
     bad: np.ndarray = None
-    n_bad: int = 0
+
+    @property
+    def n_bad(self) -> int:
+        return int(np.count_nonzero(self.bad))
 
     def payload(self):
-        return ({"pathmax": self.pathmax, "bad": self.bad},
-                {"n_bad": int(self.n_bad)})
+        return {"pathmax": self.pathmax, "bad": self.bad}, {}
 
     @classmethod
     def from_payload(cls, arrays, meta):
-        return cls(pathmax=arrays["pathmax"], bad=arrays["bad"],
-                   n_bad=int(meta["n_bad"]))
+        return cls(pathmax=arrays["pathmax"], bad=arrays["bad"])
 
 
 # -- sensitivity-stage artifacts ----------------------------------------------------
@@ -569,7 +593,9 @@ class ArtifactStore:
     may race on a key), and ``get`` falls back to disk on a memory miss.
     Keys are computed by the pipeline (stage name + content digest), so
     a store can safely hold artifacts of many graphs, engines and knob
-    settings side by side.
+    settings side by side. A disk entry that will not load (truncated,
+    foreign or otherwise damaged) is deleted, counted as ``corrupt`` and
+    treated as a miss, so the pipeline recomputes that stage.
     """
 
     def __init__(self, cache_dir: Optional[str] = None):
@@ -580,6 +606,7 @@ class ArtifactStore:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        self.corrupt = 0
         self.stores = 0
 
     def __len__(self) -> int:
@@ -602,11 +629,19 @@ class ArtifactStore:
         if self.cache_dir is not None:
             path = self._path(key)
             if os.path.exists(path):
-                art = Artifact.load(path)
-                self._mem[key] = art
-                self.hits += 1
-                self.disk_hits += 1
-                return art
+                try:
+                    art = Artifact.load(path)
+                except Exception:  # noqa: BLE001 - any damage is a miss
+                    self.corrupt += 1
+                    try:
+                        os.unlink(path)
+                    except OSError:
+                        pass
+                else:
+                    self._mem[key] = art
+                    self.hits += 1
+                    self.disk_hits += 1
+                    return art
         self.misses += 1
         return None
 
@@ -620,5 +655,5 @@ class ArtifactStore:
         return {
             "entries": len(self._mem), "hits": self.hits,
             "misses": self.misses, "disk_hits": self.disk_hits,
-            "stores": self.stores,
+            "corrupt": self.corrupt, "stores": self.stores,
         }

@@ -9,6 +9,12 @@ the cached artifact's recorded :class:`~repro.mpc.cost.CostDelta` (so a
 warm run's :class:`~repro.mpc.cost.CostReport` is bit-identical to a
 cold one) or executes the stage and records its delta.
 
+Given a *prior* run and the edge map of the batch that turned its
+graph into this one, a run also *splices*: a stage whose artifact is
+row-wise (:attr:`~repro.pipeline.artifacts.Artifact.row_axis`) keeps
+the prior's rows for unchanged edges and computes only the delta rows,
+through the stage's own ``compute`` on a row-restricted context.
+
 ``run_verification`` / ``run_sensitivity`` assemble the classic result
 objects; ``verify_mst`` and ``mst_sensitivity`` in :mod:`repro.core`
 are thin wrappers over them.
@@ -16,6 +22,8 @@ are thin wrappers over them.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -143,7 +151,12 @@ class PipelineRun:
     failure_reason: Optional[str] = None
     cached_stages: List[str] = field(default_factory=list)
     executed_stages: List[str] = field(default_factory=list)
+    #: row-wise stages built from a prior run's rows plus delta rows
+    spliced_stages: List[str] = field(default_factory=list)
     rt: Optional[Runtime] = None
+    #: the context the stages ran on; its non-tree row arrays are
+    #: copies, so a later splice compares against the rows as they were
+    ctx: Optional[StageContext] = None
 
     @property
     def ok(self) -> bool:
@@ -160,6 +173,84 @@ class PlanEntry:
     params: Tuple[str, ...]
     key: Optional[str] = None
     cached: Optional[bool] = None
+
+
+class _Splice:
+    """Row bookkeeping for splicing a prior run into this one.
+
+    A prior non-tree row is *kept* when ``old_to_new`` carries its edge
+    to a non-tree edge of the new graph with the same endpoints and
+    weight; every new row no kept row lands on is a *delta* row. Kept
+    rows keep their values (renumbered); delta rows come from the
+    stage's own ``compute`` over the delta rows alone.
+    """
+
+    def __init__(self, prior: PipelineRun, ctx: StageContext,
+                 old_to_new: np.ndarray):
+        before = prior.ctx
+        self.prior = prior
+        self.ctx = ctx
+        q1 = len(ctx.nontree_index)
+        npos = np.full(ctx.graph.m, -1, dtype=np.int64)
+        npos[ctx.nontree_index] = np.arange(q1, dtype=np.int64)
+        mapped = old_to_new[before.nontree_index]
+        to_new = np.full(len(mapped), -1, dtype=np.int64)
+        to_new[mapped >= 0] = npos[mapped[mapped >= 0]]
+        i = np.flatnonzero(to_new >= 0)
+        j = to_new[i]
+        same = ((before.nu[i] == ctx.nu[j]) & (before.nv[i] == ctx.nv[j])
+                & (before.nw[i] == ctx.nw[j]))
+        self.kept = np.zeros(len(mapped), dtype=bool)
+        self.kept[i[same]] = True
+        self.to_new = to_new
+        covered = np.zeros(q1, dtype=bool)
+        covered[to_new[self.kept]] = True
+        self.delta = np.flatnonzero(~covered)
+        self.keep_half: Optional[np.ndarray] = None
+        #: delta-row artifacts, read by the delta computes downstream
+        self.delta_arts: Dict[str, Artifact] = {}
+
+    def _row_wise(self, name: str) -> bool:
+        return getattr(self.prior.artifacts.get(name), "row_axis", None) \
+            is not None
+
+    def ready(self, stage: Stage, out: PipelineRun) -> bool:
+        """Spliceable: row-wise, every row-wise dep spliced and every
+        other dep under the prior run's key."""
+        if not self._row_wise(stage.name):
+            return False
+        return all(
+            d in out.spliced_stages if self._row_wise(d)
+            else out.keys[d] == self.prior.keys.get(d)
+            for d in stage.deps
+        )
+
+    def run(self, stage: Stage, artifacts: Dict[str, Artifact]) -> Artifact:
+        """The prior's kept rows plus ``stage``'s delta rows."""
+        old = self.prior.artifacts[stage.name]
+        new = None
+        if len(self.delta):
+            deps = {d: self.delta_arts.get(d, artifacts[d])
+                    for d in stage.deps}
+            new = stage.run(self.ctx.restrict(self.delta, deps))
+            self.delta_arts[stage.name] = new
+        if old.row_axis == "half" and "eid" in old.row_fields:
+            self.keep_half = self.kept[old.eid]
+        cols = {}
+        for f in old.row_fields:
+            rows = getattr(old, f)
+            add = getattr(new, f) if new is not None else rows[:0]
+            if old.row_axis == "nontree":
+                col = np.empty(len(self.ctx.nontree_index), dtype=rows.dtype)
+                col[self.to_new[self.kept]] = rows[self.kept]
+                col[self.delta] = add
+            else:
+                rows = rows[self.keep_half]
+                if f == "eid":  # renumber both parts to new row ids
+                    rows, add = self.to_new[rows], self.delta[add]
+                col = np.concatenate([rows, add])
+            cols[f] = col
+        return dataclasses.replace(old, **cols)
 
 
 class Pipeline:
@@ -200,12 +291,23 @@ class Pipeline:
 
     def run(self, graph, params: PipelineParams, rt: Runtime,
             store: Optional[ArtifactStore] = None,
-            resume: Optional[PipelineRun] = None) -> PipelineRun:
+            resume: Optional[PipelineRun] = None,
+            prior: Optional[PipelineRun] = None,
+            old_to_new: Optional[np.ndarray] = None) -> PipelineRun:
         """Execute on ``rt``; cached stages replay their charged rounds.
 
         ``resume`` continues a run made earlier *on the same runtime*
         (e.g. sensitivity after verification): its stages are adopted
         as-is, without re-charging — their rounds are already on ``rt``.
+
+        ``prior`` is a run over the graph a batch turned into ``graph``
+        and ``old_to_new`` that batch's edge map (prior edge id → new
+        id, or -1 for a removed edge). A row-wise stage is spliced
+        (never looked up) when its row-wise deps were spliced and every
+        other dep has the prior's key — the substrate it reads besides
+        its own rows is then exactly the prior's, so unchanged rows keep
+        their values. A changed tree changes those keys, so it splices
+        nothing.
         """
         out = PipelineRun(rt=rt)
         if resume is not None:
@@ -213,20 +315,35 @@ class Pipeline:
             out.keys.update(resume.keys)
             out.cached_stages.extend(resume.cached_stages)
             out.executed_stages.extend(resume.executed_stages)
-        ctx = StageContext(graph, rt, params, out.artifacts)
+            out.spliced_stages.extend(resume.spliced_stages)
+            # same graph and runtime: share the resumed run's row arrays
+            ctx = copy.copy(resume.ctx)
+            ctx.artifacts = out.artifacts
+        else:
+            ctx = StageContext(graph, rt, params, out.artifacts)
+        out.ctx = ctx
+        splice = (_Splice(prior, ctx, old_to_new)
+                  if prior is not None else None)
         gfp = graph_fingerprints(graph)
         for stage in self.stages:
             if stage.name in out.artifacts:
                 continue
             key = stage_key(stage, gfp, params, out.keys)
             out.keys[stage.name] = key
-            artifact = store.get(key) if store is not None else None
+            spliced = splice is not None and splice.ready(stage, out)
+            artifact = (store.get(key)
+                        if store is not None and not spliced else None)
             if artifact is not None:
                 rt.tracker.replay(artifact.cost)
                 out.cached_stages.append(stage.name)
             else:
                 mark = rt.tracker.mark()
-                artifact = stage.run(ctx)
+                if spliced:
+                    artifact = splice.run(stage, out.artifacts)
+                    out.spliced_stages.append(stage.name)
+                else:
+                    artifact = stage.run(ctx)
+                    out.executed_stages.append(stage.name)
                 # stage boundaries are plan flush points: deferred nodes
                 # recorded by this stage execute before its cost delta is
                 # cut, so the replayable CostDelta (charged at logical
@@ -236,7 +353,6 @@ class Pipeline:
                 artifact.cost = rt.tracker.delta_since(mark)
                 if store is not None:
                     store.put(key, artifact)
-                out.executed_stages.append(stage.name)
             out.artifacts[stage.name] = artifact
             reason = stage.failure(artifact)
             if reason is not None:
@@ -370,11 +486,15 @@ def run_sensitivity(
     reduction_exponent: float = 1.0,
     coin_bias: float = 0.5,
     store: Optional[ArtifactStore] = None,
+    prior: Optional[PipelineRun] = None,
+    old_to_new: Optional[np.ndarray] = None,
 ) -> Tuple[SensitivityResult, PipelineRun]:
     """Run Theorem 4.1 as a staged pipeline; returns (result, run).
 
-    Raises :class:`~repro.errors.ValidationError` if the flagged tree is
-    not a spanning tree, or (``require_mst=True``) not an MST.
+    ``prior``/``old_to_new`` splice a previous run's per-edge stages
+    (see :meth:`Pipeline.run`). Raises
+    :class:`~repro.errors.ValidationError` if the flagged tree is not a
+    spanning tree, or (``require_mst=True``) not an MST.
     """
     rt = _make_rt(graph, engine, config, runtime)
     params = PipelineParams.capture(
@@ -382,7 +502,8 @@ def run_sensitivity(
         reduction_exponent=reduction_exponent,
         engine=engine if runtime is None else None,
     )
-    run = _VERIFICATION.run(graph, params, rt, store=store)
+    run = _VERIFICATION.run(graph, params, rt, store=store, prior=prior,
+                            old_to_new=old_to_new)
     nontree_index = np.flatnonzero(~graph.tree_mask)
     ver = assemble_verification(graph, rt, run, nontree_index)
     if ver.failed_stage is not None:

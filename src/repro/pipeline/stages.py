@@ -12,6 +12,7 @@ their machinery).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -76,6 +77,16 @@ class StageContext:
 
     def art(self, name: str) -> Artifact:
         return self.artifacts[name]
+
+    def restrict(self, rows: np.ndarray,
+                 artifacts: Dict[str, Artifact]) -> "StageContext":
+        """This context over a subset of its non-tree rows (a splice's
+        delta), reading ``artifacts`` instead of the run's."""
+        sub = copy.copy(self)
+        sub.artifacts = artifacts
+        sub.nontree_index = self.nontree_index[rows]
+        sub.nu, sub.nv, sub.nw = self.nu[rows], self.nv[rows], self.nw[rows]
+        return sub
 
 
 class Stage:
@@ -285,8 +296,10 @@ class DecideStage(Stage):
         else:
             pathmax = np.full(len(ctx.nu), -np.inf, dtype=np.float64)
         bad = ctx.nw < pathmax
-        n_bad = int(rt.scalar(Table(b=bad.astype(np.int64)), "b", "sum"))
-        return DecideArtifact(pathmax=pathmax, bad=bad, n_bad=n_bad)
+        # the violation count is one global sum (charged here); the
+        # artifact derives ``n_bad`` from its rows, so spliced rows count
+        rt.scalar(Table(b=bad.astype(np.int64)), "b", "sum")
+        return DecideArtifact(pathmax=pathmax, bad=bad)
 
 
 # -- core sensitivity stages (Theorem 4.1) ------------------------------------------

@@ -895,52 +895,33 @@ class RouterTier:
         self.supervisor.schedule_resync(w, placed.name)
 
     async def update(self, req: Dict) -> Dict:
-        """Forward a weight update to the acting primary, ship the
-        result, and record it in the generation ledger.
+        """Forward a weight update through :meth:`_write`."""
+        return await self._write(
+            req, "update", {"edge": req.get("edge", -1),
+                            "weight": req.get("weight", float("nan"))},
+            after=self._fan_out_patch)
 
-        * ``rebuilt`` — the primary already published the new
-          generation's digest-addressed snapshot; ship ``swap`` to the
-          other live replicas and wait for every one to adopt it.
-        * ``patched`` — fan the same (provably threshold-preserving)
-          update out to the live replicas; each applies the two-cell
-          patch. A replica that fails its ack is marked stale and
-          resynced before it serves this instance again.
-        * ``rejected`` — nothing to ship.
-        """
-        try:
-            placed = self._placed(req.get("instance"))
-        except ValidationError as exc:
-            return {"ok": False, "error": str(exc)}
-        fwd = {"op": "update", "instance": placed.name,
-               "edge": req.get("edge", -1),
-               "weight": req.get("weight", float("nan"))}
-        async with placed.lock:  # one update in flight per instance
-            self.metrics.updates += 1
-            primary, resp = await self._primary_request(placed, fwd)
-            if primary is None:
-                return resp
-            others = self._current_replicas(placed, exclude=primary)
-            if resp.get("action") == "rebuilt":
-                self.supervisor.ledger.record_publish(
-                    placed.name, resp["snapshot_path"],
-                    resp["snapshot_digest"], int(resp["generation"]))
-                if others:
-                    await self._ship_swap(placed, resp, others)
-                placed.generation = int(resp["generation"])
-            elif resp.get("action") == "patched":
-                self.supervisor.ledger.record_patch(
-                    placed.name, fwd["edge"], fwd["weight"])
-                if others:
-                    acks = await asyncio.gather(
-                        *(w.control.request(fwd) for w in others),
-                        return_exceptions=True)
-                    self.metrics.patches_fanned += len(others)
-                    for w, ack in zip(others, acks):
-                        if not (isinstance(ack, dict)
-                                and ack.get("action") == "patched"):
-                            self.metrics.worker_errors += 1
-                            self._mark_stale(w, placed)
-        return resp
+    async def _fan_out_patch(self, placed: _Placed, fwd: Dict,
+                             primary: _Worker, resp: Dict) -> None:
+        """Fan a ``patched`` (provably threshold-preserving) update out
+        to the live replicas, each applying the two-cell patch. A
+        replica that fails its ack is marked stale and resynced before
+        it serves this instance again."""
+        if resp.get("action") != "patched":
+            return
+        self.supervisor.ledger.record_patch(
+            placed.name, fwd["edge"], fwd["weight"])
+        others = self._current_replicas(placed, exclude=primary)
+        if not others:
+            return
+        acks = await asyncio.gather(
+            *(w.control.request(fwd) for w in others),
+            return_exceptions=True)
+        self.metrics.patches_fanned += len(others)
+        for w, ack in zip(others, acks):
+            if not (isinstance(ack, dict) and ack.get("action") == "patched"):
+                self.metrics.worker_errors += 1
+                self._mark_stale(w, placed)
 
     async def _ship_swap(self, placed: _Placed, resp: Dict,
                          others: List[_Worker]) -> None:
@@ -970,24 +951,33 @@ class RouterTier:
                 {"worker": w.worker_id, "ok": bool(ok)})
 
     async def update_batch(self, req: Dict) -> Dict:
-        """Forward a structural batch to the primary, ship the swap.
+        """Forward a structural batch through :meth:`_write`.
 
-        The streaming write path is primary-only, exactly like point
-        updates: the primary's ingestor coalesces and rebuilds once
-        (scoped when the batch is non-tree-only), publishes the new
-        generation's snapshot, and the router ships ``(path, digest,
-        generation)`` to the replicas — whose ``swap`` re-plans shards
-        when the edge count changed. Routing facts (``m``, ``m_tree``,
-        generation) refresh from the batch report so new edge ids
-        route immediately.
+        The primary's ingestor coalesces and rebuilds once (scoped when
+        the batch is non-tree-only); replicas follow by ``swap``, which
+        re-plans their shards when the edge count changed.
+        """
+        return await self._write(req, "update_batch",
+                                 {"ops": req.get("ops") or []})
+
+    async def _write(self, req: Dict, op: str, fields: Dict,
+                     after=None) -> Dict:
+        """Forward one write to the acting primary, one per instance.
+
+        A ``rebuilt`` outcome means the primary already published the
+        new generation's digest-addressed snapshot: record the publish
+        in the generation ledger, ship ``swap`` to the other live
+        replicas and wait for each to adopt it, then refresh the
+        routing facts (``m``, ``m_tree``, generation) so new edge ids
+        route immediately. Any other outcome goes to ``after`` — still
+        under the instance's write lock.
         """
         try:
             placed = self._placed(req.get("instance"))
         except ValidationError as exc:
             return {"ok": False, "error": str(exc)}
-        fwd = {"op": "update_batch", "instance": placed.name,
-               "ops": req.get("ops") or []}
-        async with placed.lock:  # one structural change in flight
+        fwd = {"op": op, "instance": placed.name, **fields}
+        async with placed.lock:  # one write in flight per instance
             self.metrics.updates += 1
             primary, resp = await self._primary_request(placed, fwd)
             if primary is None:
@@ -1002,6 +992,8 @@ class RouterTier:
                 placed.generation = int(resp["generation"])
                 placed.m = int(resp.get("m", placed.m))
                 placed.m_tree = int(resp.get("m_tree", placed.m_tree))
+            elif after is not None:
+                await after(placed, fwd, primary, resp)
         return resp
 
     # -- introspection ---------------------------------------------------------
@@ -1204,6 +1196,12 @@ class RouterTier:
                     line = first + await reader.readline()
                     first = b""
                 except (ConnectionError, OSError):
+                    break
+                except ValueError:  # past the line limit: answer, close
+                    fut = loop.create_future()
+                    fut.set_result({"ok": False, "error": wire.LINE_TOO_LONG,
+                                    "error_kind": "protocol"})
+                    await order.put((fut, False))
                     break
                 if not line:
                     break

@@ -147,20 +147,16 @@ class SensitivityService:
                 mmap_dir=cfg.mmap_dir,
             )
         specs = plan_shards(graph.m, cfg.shards)
-        oracles = updater.shard_oracles(len(specs))
-        shards = [OracleShard(spec, orc) for spec, orc in zip(specs, oracles)]
-        batchers = [
-            MicroBatcher(s, max_batch=cfg.max_batch,
-                         window_s=cfg.batch_window_s,
-                         queue_depth=cfg.queue_depth)
-            for s in shards
-        ]
-        inst = _Instance(name=name, updater=updater, shards=shards,
-                         batchers=batchers)
+        self._register(name, updater, specs,
+                       updater.shard_oracles(len(specs)))
+
+    def _register(self, name: str, updater: InstanceUpdater,
+                  specs: List[ShardSpec],
+                  oracles: List[SensitivityOracle]) -> None:
+        """Serve ``updater``'s current generation from ``oracles``."""
+        inst = _Instance(name=name, updater=updater, shards=[], batchers=[])
+        self._install_generation(inst, specs, oracles)
         self.instances[name] = inst
-        if self._started:
-            for b in batchers:
-                b.start()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -273,8 +269,9 @@ class SensitivityService:
                      instance: Optional[str] = None) -> Dict:
         """Commit ``w(edge) := weight`` (serialised per instance).
 
-        Rebuilds run on a worker thread so reads keep flowing from the
-        old generation; the swap is atomic per shard.
+        A rebuild is the one-op reprice batch (see
+        :meth:`InstanceUpdater.apply`), committed and installed exactly
+        like an ``update_batch``.
         """
         try:
             inst = self._instance(instance)
@@ -290,14 +287,11 @@ class SensitivityService:
         except (ValidationError, TypeError, ValueError,
                 OverflowError) as exc:
             return {"ok": False, "error": str(exc)}
-        async with inst.lock:
-            try:
-                report: UpdateReport = await asyncio.get_running_loop() \
-                    .run_in_executor(None, inst.updater.apply, inst.shards,
-                                     edge, weight)
-            except ServiceError as exc:
-                return {"ok": False, "error": str(exc),
-                        "error_kind": exc.kind}
+        try:
+            report: UpdateReport = await self._commit(
+                inst, lambda: inst.updater.apply(inst.shards, edge, weight))
+        except ServiceError as exc:
+            return {"ok": False, "error": str(exc), "error_kind": exc.kind}
         out = report.to_dict()
         out["ok"] = report.action != "rejected"
         return out
@@ -322,64 +316,83 @@ class SensitivityService:
         return await inst.ingestor.submit(ops)
 
     async def _apply_structural(self, instance: str, ops) -> Dict:
-        """Apply one coalesced op batch and install the new generation.
-
-        Runs on the ingestor's drain loop: the rebuild happens on a
-        worker thread under the instance update lock (reads keep
-        flowing from the old generation), then the shard plan for the
-        new edge count and the new shard/batcher tuples are swapped in
-        **synchronously** — ``submit_nowait`` reads specs and batchers
-        with no await between them, so it sees old or new, never a mix.
-        Old batchers drain their queued queries on the generation they
-        were routed to before stopping.
-        """
+        """Apply one coalesced op batch and install the new generation
+        (runs on the ingestor's drain loop)."""
         inst = self.instances[instance]
-        async with inst.lock:
-            report: BatchReport = await asyncio.get_running_loop() \
-                .run_in_executor(None, inst.updater.apply_batch, list(ops))
-            old_batchers: List[MicroBatcher] = []
-            if report.action == "rebuilt":
-                old_batchers = self._install_generation(inst, report)
-        for b in old_batchers:
-            await b.stop()
+        report: BatchReport = await self._commit(
+            inst, lambda: inst.updater.apply_batch(list(ops)))
         out = report.to_dict()
         out["ok"] = report.action != "rejected"
         out["report"] = report  # for StreamMetrics; popped by the ingestor
         return out
 
-    def _install_generation(self, inst: _Instance,
-                            report: BatchReport) -> List[MicroBatcher]:
-        """Re-plan shards for the new ``m`` and swap — synchronously.
+    async def _commit(self, inst: _Instance, write):
+        """Run ``write()`` under the instance lock; install what it built.
 
-        Returns the superseded batchers for the caller to drain/stop
-        outside the instance lock.
+        The write — and, for a rebuild, the new generation's shard
+        oracles (a snapshot publish in mmap mode) — run on a worker
+        thread, so reads keep flowing from the old generation. The
+        install itself is synchronous (see :meth:`_install_generation`);
+        superseded batchers drain their queued queries on the generation
+        they were routed to, outside the lock.
         """
+        def work():
+            report = write()
+            if report.action != "rebuilt":
+                return report, None, None
+            updater = inst.updater
+            specs = plan_shards(updater.graph.m, self.config.shards)
+            oracles = updater.shard_oracles(len(specs))
+            report.snapshot_path = updater.snapshot_path
+            report.snapshot_digest = updater.snapshot_digest
+            return report, specs, oracles
+
+        old_batchers: List[MicroBatcher] = []
+        async with inst.lock:
+            report, specs, oracles = await asyncio.get_running_loop() \
+                .run_in_executor(None, work)
+            if specs is not None:
+                old_batchers = self._install_generation(inst, specs, oracles)
+        for b in old_batchers:
+            await b.stop()
+        return report
+
+    def _install_generation(self, inst: _Instance, specs: List[ShardSpec],
+                            oracles: List[SensitivityOracle]
+                            ) -> List[MicroBatcher]:
+        """Install the updater's current generation — synchronously.
+
+        With an unchanged shard plan (same ``m``) every shard swaps its
+        oracle in place. Otherwise the shard/batcher tuples for the new
+        plan replace the old ones in one block: ``submit_nowait`` reads
+        specs and batchers with no await between them, so it sees old
+        or new, never a mix. Shard counters carry over positionally.
+        Returns the superseded batchers for the caller to stop outside
+        the instance lock.
+        """
+        generation = inst.updater.generation
+        if specs == inst.specs:
+            for shard, orc in zip(inst.shards, oracles):
+                shard.swap(orc, generation)
+            return []
         cfg = self.config
-        updater = inst.updater
-        specs = plan_shards(updater.graph.m, cfg.shards)
-        oracles = updater.shard_oracles(len(specs))
-        shards = [OracleShard(spec, orc, generation=updater.generation)
+        shards = [OracleShard(spec, orc, generation=generation)
                   for spec, orc in zip(specs, oracles)]
+        for new, old in zip(shards, inst.shards):
+            new.metrics = old.metrics
+            new.metrics.swaps += 1
         batchers = [
             MicroBatcher(s, max_batch=cfg.max_batch,
                          window_s=cfg.batch_window_s,
                          queue_depth=cfg.queue_depth)
             for s in shards
         ]
-        # shard counters survive the reshard (positionally: the shard
-        # count only shrinks when m collapses below cfg.shards)
-        for new, old in zip(shards, inst.shards):
-            new.metrics = old.metrics
         old_batchers = inst.batchers
         inst.shards = shards          # no await between these two
         inst.batchers = batchers      # assignments: atomic vs the loop
         if self._started:
             for b in batchers:
                 b.start()
-        for s in inst.shards:
-            s.metrics.swaps += 1
-        report.snapshot_path = updater.snapshot_path
-        report.snapshot_digest = updater.snapshot_digest
         return old_batchers
 
     # -- introspection ---------------------------------------------------------
@@ -597,6 +610,12 @@ class SensitivityService:
                     line = first + await reader.readline()
                     first = b""
                 except (ConnectionError, OSError):
+                    break
+                except ValueError:  # past the line limit: answer, close
+                    fut = asyncio.get_running_loop().create_future()
+                    fut.set_result({"ok": False, "error": wire.LINE_TOO_LONG,
+                                    "error_kind": "protocol"})
+                    await order.put((fut, False))
                     break
                 if not line:
                     break

@@ -1,9 +1,10 @@
 """Streaming structural ingest: batched graph mutations under load.
 
-The point-update write path (:meth:`InstanceUpdater.apply`) re-prices
-one existing edge. This module is the *structural* write path: clients
-stream ``add_edge`` / ``remove_edge`` / ``reprice`` ops over the same
-TCP protocol (wire op ``update_batch``) and a per-instance
+Every new generation comes from
+:meth:`~repro.service.updates.InstanceUpdater.apply_batch`; a point
+``update`` that cannot be patched in place is the one-op ``reprice``
+batch. Here clients stream ``add`` / ``remove`` / ``reprice`` ops over
+the same TCP protocol (wire op ``update_batch``) and a per-instance
 :class:`StreamIngestor` turns the stream into generations:
 
 * **bounded queue** — each wire request enqueues its op list with a
@@ -18,19 +19,19 @@ TCP protocol (wire op ``update_batch``) and a per-instance
   terminal) happens in :func:`~repro.graph.mutations.coalesce_ops`
   inside the apply; every absorbed request resolves with the shared
   :class:`~repro.service.updates.BatchReport`.
-* **classified rebuild** — the apply runs on a worker thread under the
+* **spliced rebuild** — the apply runs on a worker thread under the
   instance's update lock. :func:`~repro.graph.mutations.apply_ops`
-  repairs the MST exactly and reports whether the batch touched the
-  candidate tree; non-tree-only batches take the scoped splice path
-  (only delta rows of the per-edge stages recompute — see
-  ``InstanceUpdater._prime_scoped``), tree-affecting batches replay
-  honestly through the narrowed fingerprint scopes.
-* **one generation swap per batch** — after the apply the service
-  re-plans its edge-range shards for the new ``m`` and swaps the
-  shard/batcher tuples in one synchronous block, so concurrent
-  ``submit_nowait`` callers see either the old generation or the new
-  one, never a mix. Queries queued against the old generation drain on
-  the oracle they were routed to.
+  repairs the MST exactly; the pipeline then splices the previous
+  run's per-edge stages when the candidate tree is unchanged (only the
+  touched edges' rows recompute — see
+  :meth:`~repro.pipeline.pipeline.Pipeline.run`), while tree-affecting
+  batches replay honestly through the narrowed fingerprint scopes.
+* **one generation swap per batch** — the service installs the new
+  generation in one synchronous block: an in-place swap per shard when
+  ``m`` is unchanged, re-planned shard/batcher tuples otherwise, so
+  concurrent ``submit_nowait`` callers see either the old generation or
+  the new one, never a mix. Queries queued against the old generation
+  drain on the oracle they were routed to.
 
 :class:`~repro.service.metrics.StreamMetrics` tracks batch sizes,
 coalesce ratios, scoped-vs-full replay counts and p50/p99 apply

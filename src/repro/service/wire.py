@@ -98,6 +98,9 @@ POINT_LEN = 16        #: point request and point response frames
 #: Upper bound on any single frame (bulk payloads, escape JSON). An
 #: advertised length beyond this is a protocol error, not an alloc.
 MAX_FRAME_LEN = 64 * 1024 * 1024
+#: A JSON-lines request longer than the reader's line limit (asyncio's
+#: 64 KiB default) gets this ``protocol`` error, then the door closes.
+LINE_TOO_LONG = "request line exceeds the 64 KiB JSON-lines limit"
 
 # -- type bytes ---------------------------------------------------------------
 

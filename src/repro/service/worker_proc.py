@@ -45,9 +45,8 @@ from ..mpc import MPCConfig
 from ..oracle import SensitivityOracle
 from ..pipeline import ArtifactStore
 from ..serialize import file_digest
-from .batching import MicroBatcher
-from .server import SensitivityService, ServiceConfig, _Instance
-from .shards import OracleShard, plan_shards
+from .server import SensitivityService, ServiceConfig
+from .shards import plan_shards
 from .updates import InstanceUpdater
 
 __all__ = ["WorkerSpec", "WorkerService", "worker_entry"]
@@ -100,6 +99,16 @@ def _verified_load(path: str, digest: str, n_copies: int):
             for _ in range(n_copies)]
 
 
+def _graph_of(oracle: SensitivityOracle) -> WeightedGraph:
+    """The authoritative graph of a mapped snapshot: private writable
+    copies of its edge arrays (the big threshold / topology arrays stay
+    mapped and shared)."""
+    return WeightedGraph(
+        n=len(oracle.parent), u=oracle.u.copy(), v=oracle.v.copy(),
+        w=oracle.w.copy(), tree_mask=oracle.tree_mask.copy(),
+    )
+
+
 class WorkerService(SensitivityService):
     """A :class:`SensitivityService` that can adopt shipped snapshots."""
 
@@ -125,39 +134,18 @@ class WorkerService(SensitivityService):
         cfg = self.config
         specs = plan_shards(self._snapshot_m(path, digest), cfg.shards)
         oracles = _verified_load(path, digest, len(specs) + 1)
-        template = oracles[-1]
-        # the authoritative graph is reconstructed from the snapshot's
-        # own edge arrays (private writable copies; the big threshold /
-        # topology arrays stay mapped and shared)
-        graph = WeightedGraph(
-            n=len(template.parent), u=template.u.copy(),
-            v=template.v.copy(), w=template.w.copy(),
-            tree_mask=template.tree_mask.copy(),
-        )
+        template = oracles.pop()
         store = (ArtifactStore(cache_dir=cfg.cache_dir)
                  if cfg.cache_dir is not None else ArtifactStore())
         updater = InstanceUpdater(
-            name, graph, template, engine=cfg.engine, config=cfg.config,
-            oracle_labels=cfg.oracle_labels, store=store,
-            mmap_dir=cfg.mmap_dir,
+            name, _graph_of(template), template, engine=cfg.engine,
+            config=cfg.config, oracle_labels=cfg.oracle_labels,
+            store=store, mmap_dir=cfg.mmap_dir,
         )
         updater.generation = int(generation)
         updater.snapshot_path = path
         updater.snapshot_digest = digest
-        shards = [OracleShard(spec, orc, generation=int(generation))
-                  for spec, orc in zip(specs, oracles)]
-        batchers = [
-            MicroBatcher(s, max_batch=cfg.max_batch,
-                         window_s=cfg.batch_window_s,
-                         queue_depth=cfg.queue_depth)
-            for s in shards
-        ]
-        inst = _Instance(name=name, updater=updater, shards=shards,
-                         batchers=batchers)
-        self.instances[name] = inst
-        if self._started:
-            for b in batchers:
-                b.start()
+        self._register(name, updater, specs, oracles)
 
     def _snapshot_m(self, path: str, digest: str) -> int:
         # edge count comes from the snapshot itself; one cheap map
@@ -184,13 +172,10 @@ class WorkerService(SensitivityService):
     async def _swap(self, req: Dict) -> Dict:
         """Atomically adopt a newer generation under live reads.
 
-        A same-``m`` swap (a re-priced edge rebuilt on the primary) is
-        an in-place shard swap. A structural generation (the primary
-        applied an ``update_batch`` that grew or shrank the edge set)
-        re-plans the edge-range shards for the new ``m``, rebuilds the
-        shard/batcher tuples and swaps them in one synchronous block —
-        the same discipline as the in-process install, so concurrent
-        routing sees old or new, never a mix.
+        The snapshot is verified and mapped off the loop, then installed
+        by the same helper the in-process write path uses: an in-place
+        shard swap when ``m`` is unchanged, a re-planned shard set when
+        the primary's batch grew or shrank the edge set.
         """
         try:
             name = req["instance"]
@@ -199,60 +184,24 @@ class WorkerService(SensitivityService):
             inst = self._instance(name)
         except (KeyError, ValidationError, ValueError) as exc:
             return {"ok": False, "error": f"swap failed: {exc}"}
-        cfg = self.config
-        old_batchers = []
         async with inst.lock:  # serialise against local updates
-            new_m = self._snapshot_m(path, digest)
-            m_changed = inst.updater.graph.m != new_m
-            specs = (plan_shards(new_m, cfg.shards) if m_changed
-                     else [s.spec for s in inst.shards])
+            specs = plan_shards(self._snapshot_m(path, digest),
+                                self.config.shards)
             try:
                 oracles = await asyncio.get_running_loop().run_in_executor(
                     None, _verified_load, path, digest, len(specs) + 1)
             except (ValidationError, OSError, ValueError) as exc:
                 return {"ok": False, "error": f"swap failed: {exc}"}
             updater = inst.updater
-            template = oracles[-1]
-            updater.oracle = template
+            updater.oracle = oracles.pop()
+            # authoritative weights and tree membership come from the
+            # new generation; the primary's run is no splice prior here
+            updater.graph = _graph_of(updater.oracle)
+            updater.last_run = None
             updater.generation = generation
             updater.snapshot_path = path
             updater.snapshot_digest = digest
-            if len(template) == updater.graph.m:
-                # refresh the authoritative weights (and tree membership
-                # — a rebuilt re-pricing can swap edges in or out of the
-                # candidate tree) from the new generation
-                updater.graph.w[:] = template.w
-                updater.graph.tree_mask[:] = template.tree_mask
-                for shard, orc in zip(inst.shards, oracles):
-                    shard.swap(orc, generation)
-            else:
-                # structural generation: new authoritative graph + a
-                # fresh shard plan over the new edge count
-                updater.graph = WeightedGraph(
-                    n=len(template.parent), u=template.u.copy(),
-                    v=template.v.copy(), w=template.w.copy(),
-                    tree_mask=template.tree_mask.copy(),
-                )
-                updater.last_run = None
-                updater._splice_fp = None
-                shards = [OracleShard(spec, orc, generation=generation)
-                          for spec, orc in zip(specs, oracles)]
-                for new, old in zip(shards, inst.shards):
-                    new.metrics = old.metrics
-                batchers = [
-                    MicroBatcher(s, max_batch=cfg.max_batch,
-                                 window_s=cfg.batch_window_s,
-                                 queue_depth=cfg.queue_depth)
-                    for s in shards
-                ]
-                old_batchers = inst.batchers
-                inst.shards = shards      # synchronous swap: no await
-                inst.batchers = batchers  # between the two assignments
-                if self._started:
-                    for b in batchers:
-                        b.start()
-                for s in inst.shards:
-                    s.metrics.swaps += 1
+            old_batchers = self._install_generation(inst, specs, oracles)
         for b in old_batchers:
             await b.stop()
         return {"ok": True,

@@ -1,4 +1,4 @@
-"""Shared NumPy kernels: segmented scans and forward fill.
+"""Shared NumPy kernels: segmented scans.
 
 Property-based (hypothesis) checks against straightforward Python
 reference implementations.
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpc.kernels import (
-    forward_fill,
     op_combine,
     op_identity,
     segment_starts,
@@ -114,42 +113,6 @@ class TestSegmentedScan:
         with pytest.raises(ProtocolError):
             segmented_scan(np.array([1.0]), "mean",
                            segment_starts(None, 1))
-
-
-class TestForwardFill:
-    def test_basic(self):
-        v = np.array([10.0, 0.0, 0.0, 20.0, 0.0])
-        ok = np.array([True, False, False, True, False])
-        filled, valid = forward_fill(v, ok)
-        assert filled.tolist() == [10.0, 10.0, 10.0, 20.0, 20.0]
-        assert valid.all()
-
-    def test_leading_invalid(self):
-        v = np.array([1.0, 2.0])
-        ok = np.array([False, True])
-        filled, valid = forward_fill(v, ok)
-        assert not valid[0] and valid[1]
-        assert filled[1] == 2.0
-
-    def test_empty(self):
-        filled, valid = forward_fill(np.empty(0), np.empty(0, dtype=bool))
-        assert len(filled) == 0
-
-    @given(st.lists(st.tuples(st.floats(-10, 10), st.booleans()),
-                    max_size=40))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_reference(self, rows):
-        v = np.array([r[0] for r in rows], dtype=np.float64)
-        ok = np.array([r[1] for r in rows], dtype=bool)
-        filled, valid = forward_fill(v, ok)
-        last = None
-        for i in range(len(rows)):
-            if ok[i]:
-                last = v[i]
-            if last is None:
-                assert not valid[i]
-            else:
-                assert valid[i] and filled[i] == last
 
 
 class TestCombine:

@@ -189,6 +189,23 @@ class TestPersistence:
         assert s2.disk_hits == 14 and s2.misses == 0
         _assert_sensitivity_identical(cold, warm)
 
+    def test_truncated_entry_is_recomputed(self, tmp_path):
+        g = _graph(seed=6)
+        cache = tmp_path / "cache"
+        cold, _ = run_sensitivity(g, store=ArtifactStore())
+        run_sensitivity(g, store=ArtifactStore(cache_dir=str(cache)))
+        victim = next(cache.glob("labels-*.npz"))
+        victim.write_bytes(victim.read_bytes()[:100])
+        store = ArtifactStore(cache_dir=str(cache))
+        warm, run = run_sensitivity(g, store=store)
+        assert run.executed_stages == ["labels"]
+        stats = store.stats()
+        assert stats["corrupt"] == 1 and stats["misses"] == 1
+        assert stats["disk_hits"] == 13
+        _assert_sensitivity_identical(cold, warm)
+        # the damaged file was replaced by the recomputed artifact
+        assert ArtifactStore(cache_dir=str(cache)).get(victim.stem) is not None
+
     def test_single_artifact_roundtrip(self, tmp_path):
         g = _graph(seed=9)
         store = ArtifactStore()

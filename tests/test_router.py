@@ -286,6 +286,24 @@ class TestRouterTier:
         run(scenario())
 
 
+class TestRouterJsonFrontDoor:
+    def test_over_limit_line_is_a_structured_protocol_error(
+            self, over_limit_line_refused):
+        async def scenario():
+            # the front door alone: no worker is needed to refuse a line
+            rt = RouterTier(RouterConfig(workers=1))
+            server = await asyncio.start_server(
+                rt._handle_connection, "127.0.0.1", 0)
+            try:
+                await over_limit_line_refused(
+                    *server.sockets[0].getsockname()[:2])
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+
 class TestRouterMetricsAfterBinaryRelay:
     def test_metrics_op_over_tcp_answers_after_binary_relay(self):
         """A binary run interleaving two instances is relayed as one

@@ -10,8 +10,8 @@ The load-bearing claims:
   queueing unboundedly, and recovers afterwards;
 * the write path classifies with the oracle's own thresholds:
   oracle-preserving updates run zero pipeline stages, structure-
-  changing ones replay the weight-blind prefix from the artifact
-  cache and re-run only the weight-reading suffix;
+  changing ones replay the tree-side prefix from the artifact cache,
+  splice the per-edge stages and re-run only the sens stages;
 * TCP JSON-lines round-trips the same dispatch path;
 * mmap-shared shard oracles answer identically to in-memory ones.
 """
@@ -409,13 +409,18 @@ class TestUpdatePath:
 
         rep, inst = run(scenario())
         assert rep["action"] == "rebuilt" and rep["generation"] == 1
-        # weight-scoped keys: the whole weight-blind validate→lca
-        # prefix replays from cache; only the weight-reading suffix
-        # (adgraph..decide + the four sens stages) re-runs
+        # the update is a one-op reprice batch: the tree-side prefix
+        # replays from cache, the five per-edge stages are spliced from
+        # the previous run (only the re-priced edge's rows recompute)
+        # and just the four sens stages re-run
         assert sorted(rep["cached"]) == sorted(
-            ["validate", "rooting", "dfs", "diameter", "clustering", "lca"])
-        assert rep["stages_executed"] == 8
-        assert rep["verification_reruns"] == 4  # adgraph..decide only
+            ["validate", "rooting", "dfs", "diameter", "clustering"])
+        assert inst.updater.last_run.spliced_stages == [
+            "lca", "adgraph", "labels", "pathmax", "decide"]
+        assert rep["executed"] == [
+            "sens-contract", "sens-cluster", "sens-unwind", "sens-finalize"]
+        assert rep["stages_executed"] == 4
+        assert rep["verification_reruns"] == 0
         # the rebuilt oracle matches a cold build on the new weights
         cold = build_oracle(inst.updater.graph, oracle_labels=True)
         warm = inst.updater.oracle
@@ -503,6 +508,19 @@ class TestTcpFrontDoor:
         assert not bad["ok"]
         assert not garbled["ok"] and "bad request" in garbled["error"]
         assert bye == {"ok": True, "result": "bye"}
+
+    def test_over_limit_line_is_a_structured_protocol_error(
+            self, over_limit_line_refused):
+        async def scenario():
+            svc = SensitivityService(ServiceConfig(shards=2, port=0))
+            svc.add_instance("default", make_graph(n=60, seed=3))
+            await svc.start(serve_tcp=True)
+            try:
+                await over_limit_line_refused(*svc.tcp_address)
+            finally:
+                await svc.stop()
+
+        run(scenario())
 
 
 class TestRequestBoundaryValidation:

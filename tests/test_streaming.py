@@ -6,6 +6,10 @@ The load-bearing claims:
   from an empty store after any batch — non-tree-only batches take the
   spliced scoped path, tree-affecting ones replay honestly, and both
   must produce the exact oracle a fresh pipeline run would;
+* ``update(e, x)`` that forces a rebuild *is* the one-op reprice
+  batch: twin instances end bit-identical at the same generation,
+  in-process and on every replica behind a router; and
+  ``run_sensitivity(prior=…)`` splices exactly what a cold run builds;
 * ``classify`` handles its boundary cases (bridge tree edges, a
   non-tree edge lowered exactly onto its path-max, no-ops on covering
   minimisers) the way a brute-force rebuild says it must;
@@ -26,11 +30,14 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.graph.generators import known_mst_instance
+from repro.graph.mutations import apply_ops
 from repro.oracle import SensitivityOracle
 from repro.pipeline import ArtifactStore, run_sensitivity
 from repro.service import (
     InstanceUpdater,
     OracleShard,
+    RouterConfig,
+    RouterTier,
     SensitivityService,
     ServiceClient,
     ServiceConfig,
@@ -434,6 +441,140 @@ class TestServiceStreaming:
             finally:
                 await svc.stop()
         run(scenario())
+
+
+def rebuild_writes(oracle):
+    """(edge, new weight) for the two rebuild-forcing re-pricings: a
+    covered tree edge dropped, a covering non-tree edge raised."""
+    tree = np.flatnonzero(oracle.tree_mask & np.isfinite(oracle.threshold))
+    cover = np.flatnonzero(~oracle.tree_mask & oracle.covering_edges())
+    t, c = int(tree[0]), int(cover[0])
+    return [(t, float(oracle.w[t]) * 0.5), (c, float(oracle.w[c]) + 2.0)]
+
+
+class TestOneWritePath:
+    """``update(e, x)`` and the one-op reprice batch are the same write."""
+
+    def test_update_equals_reprice_batch_in_process(self):
+        async def scenario():
+            g = make_graph(n=160, seed=5)
+            svc = SensitivityService(ServiceConfig(shards=2))
+            svc.add_instance("a", g)
+            svc.add_instance("b", g)
+            await svc.start()
+            a, b = svc.instances["a"], svc.instances["b"]
+            try:
+                for e, x in rebuild_writes(a.updater.oracle):
+                    assert a.updater.classify(e, x) == "rebuilt"
+                    ra = await svc.update(e, x, instance="a")
+                    rb = await svc.update_batch(
+                        [{"kind": "reprice", "edge": e, "weight": x}],
+                        instance="b")
+                    assert ra["action"] == rb["action"] == "rebuilt"
+                    assert ra["generation"] == rb["generation"]
+                    assert_oracle_identical(a.updater.oracle,
+                                            b.updater.oracle)
+                    assert_oracle_identical(a.updater.oracle,
+                                            cold_oracle(a.updater.graph))
+                    for inst in (a, b):  # every shard serves it
+                        for shard in inst.shards:
+                            gen, orc = shard.snapshot()
+                            assert gen == ra["generation"]
+                            assert_oracle_identical(orc, a.updater.oracle)
+                assert a.updater.generation == b.updater.generation == 2
+            finally:
+                await svc.stop()
+        run(scenario())
+
+    def test_update_equals_reprice_batch_through_router(self):
+        def probe(oracle):
+            """Two point queries per edge: its slack and its partner."""
+            return [(op, e) for e in range(oracle.m)
+                    for op in ("sensitivity", "replacement_edge"
+                               if oracle.tree_mask[e] else "entry_threshold")]
+
+        async def answers(link, instance, queries):
+            resps = await asyncio.gather(*(
+                link.request({"op": op, "edge": e, "instance": instance})
+                for op, e in queries))
+            assert all(r["ok"] for r in resps)
+            return {r["generation"] for r in resps}, [r["result"]
+                                                      for r in resps]
+
+        async def scenario():
+            g = make_graph(n=80, seed=7)
+            ref_graph = g
+            rt = RouterTier(RouterConfig(workers=2, replication=2, shards=2,
+                                         batch_window_s=0.001))
+            await rt.start()
+            try:
+                await rt.add_instance("a", g)
+                await rt.add_instance("b", g)
+                for e, x in rebuild_writes(cold_oracle(g)):
+                    ra = await rt.handle_request(
+                        {"op": "update", "instance": "a", "edge": e,
+                         "weight": x})
+                    rb = await rt.handle_request(
+                        {"op": "update_batch", "instance": "b",
+                         "ops": [{"kind": "reprice", "edge": e,
+                                  "weight": x}]})
+                    assert ra["action"] == rb["action"] == "rebuilt"
+                    assert ra["generation"] == rb["generation"]
+                    ref_graph, _ = apply_ops(
+                        ref_graph, [{"kind": "reprice", "edge": e,
+                                     "weight": x}])
+                    ref = cold_oracle(ref_graph)
+                    queries = probe(ref)
+                    want = [getattr(ref, op)(e) for op, e in queries]
+                    for w in rt.workers.values():  # primary and replica
+                        for name in ("a", "b"):
+                            gens, got = await answers(w.control, name,
+                                                      queries)
+                            assert gens == {ra["generation"]}
+                            assert got == want, (w.worker_id, name)
+            finally:
+                await rt.stop()
+        run(scenario())
+
+
+class TestPipelineSplice:
+    """``run_sensitivity(prior=…)`` splices exactly what a cold run builds."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_non_tree_batches_splice_and_tree_batches_do_not(self, seed):
+        g = make_graph(n=100, seed=100 + seed)
+        rng = np.random.default_rng(seed)
+        store = ArtifactStore()
+        _, prior = run_sensitivity(g, oracle_labels=True, store=store)
+        nontree = np.flatnonzero(~g.tree_mask)
+        hi = float(g.w.max())
+        picked = rng.choice(nontree, 6, replace=False)
+        batches = [
+            heavy_ops(g, 5),
+            [{"kind": "reprice", "edge": int(e), "weight": hi + 10 + k}
+             for k, e in enumerate(picked[:3])],
+            [{"kind": "remove", "edge": int(e)} for e in picked[3:]],
+            [{"kind": "add", "u": 0, "v": g.n // 2,
+              "weight": float(g.w.min()) / 2}],
+        ]
+        for i, ops in enumerate(batches):
+            g, effect = apply_ops(g, ops)
+            result, run_ = run_sensitivity(
+                g, oracle_labels=True, store=store, prior=prior,
+                old_to_new=effect.old_to_new)
+            cold, cold_run = run_sensitivity(g, oracle_labels=True,
+                                             store=ArtifactStore())
+            if effect.tree_affected:
+                assert i == 3 and run_.spliced_stages == []
+            else:
+                assert run_.spliced_stages == [
+                    "lca", "adgraph", "labels", "pathmax", "decide"]
+            np.testing.assert_array_equal(
+                run_.artifacts["decide"].pathmax,
+                cold_run.artifacts["decide"].pathmax)
+            assert_oracle_identical(SensitivityOracle.from_result(g, result),
+                                    SensitivityOracle.from_result(g, cold))
+            prior = run_
 
 
 if __name__ == "__main__":
